@@ -18,7 +18,7 @@ from _common import get_spark, print_table
 
 from repro.core.hope import build_hope
 from repro.core.spark_select import gram_freqs, suffix_freqs
-from repro.workloads.datasets import dataset_df
+from repro.workloads.datasets import dataset_keys
 
 DICT_SIZES = {
     "single": [256],
@@ -35,8 +35,9 @@ def main(n_keys: int = 30_000) -> None:
     rows = []
     for ds in ("email", "wiki", "url"):
         n = n_keys if ds != "url" else n_keys // 3
-        df = dataset_df(spark, ds, n, seed=8).repartition(8).cache()
-        keys = [r["key"].encode("latin-1") for r in df.collect()]
+        # keys come from the generator, not a collected DataFrame, so the
+        # sample and evaluation keys do not depend on the partition count
+        keys = dataset_keys(ds, n, seed=8)
         # 1% of the paper's 25M-key corpora is 250K samples; at repro
         # scale a bare 1% undersupplies distinct grams, so floor the
         # sample at 4000 keys (within the paper's 10K-100K guideline).

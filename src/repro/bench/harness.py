@@ -8,11 +8,6 @@ overhead** — that inclusion is the paper's central trade-off. Memory is
 the tree's analytic footprint plus the HOPE dictionary (the paper
 reports "HOPE size included").
 
-``run_tree_bench_spark`` runs the same harness partition-parallel: the
-key space is range-partitioned, each Spark partition builds and drives
-its own in-memory tree (one tree per partition, per the banding hint),
-and per-partition metrics come back as a DataFrame.
-
 Encoded tree keys are the zero-padded code bytes; the harness asserts
 they are pairwise distinct (see DESIGN.md §3 on padding ties).
 """
@@ -185,45 +180,3 @@ def run_tree_bench(
         res["range_ns"] = t_scan / max(1, n_scan) * 1e9
         res["insert_ns"] = t_ins / max(1, n_ins) * 1e9 if n_ins else None
     return res
-
-
-def run_tree_bench_spark(
-    spark,
-    tree_name: str,
-    config: str,
-    keys: Sequence[bytes],
-    n_partitions: int = 8,
-    **kw,
-):
-    """Partition-parallel harness: one in-memory tree per Spark partition.
-
-    Keys are range-partitioned (sorted, then chunked) so each partition's
-    tree covers a contiguous key range; returns a DataFrame of the
-    per-partition metric dicts from ``run_tree_bench``.
-    """
-    skeys = sorted(keys)
-    chunk = (len(skeys) + n_partitions - 1) // n_partitions
-    parts = [skeys[i : i + chunk] for i in range(0, len(skeys), chunk)]
-    rdd = spark.sparkContext.parallelize(
-        [(i, [k.decode("latin-1") for k in p]) for i, p in enumerate(parts)],
-        len(parts),
-    )
-
-    def run_part(item):
-        pid, str_keys = item
-        res = run_tree_bench(tree_name, config, [s.encode("latin-1") for s in str_keys], **kw)
-        return (
-            pid,
-            int(res["n_keys"]),
-            float(res["point_ns"]),
-            float(res["range_ns"]) if res["range_ns"] is not None else None,
-            int(res["memory_bytes"]),
-            float(res["height"]) if res["height"] is not None else None,
-            float(res["cpr"]),
-        )
-
-    schema = (
-        "partition int, n_keys int, point_ns double, range_ns double, "
-        "memory_bytes long, height double, cpr double"
-    )
-    return spark.createDataFrame(rdd.map(run_part), schema=schema)

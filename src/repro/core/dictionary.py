@@ -2,24 +2,20 @@
 
 A HOPE dictionary stores only the *left boundary* of each interval; a
 lookup is a "greatest boundary <= suffix" (predecessor) query returning
-the interval's code and symbol length. Four structures, as in the
-paper (Table 1), all behaviourally identical and cross-checked by
-tests:
+the interval's code and symbol length. The paper (Table 1) names three
+structures for that one query; here two classes execute it and the
+paper's memory layouts are analytic models:
 
-* ``ArrayDict``      — Single-Char (256 entries) and Double-Char
-                       (256*257 entries, terminator layout): one O(1)
-                       array probe;
-* ``TrieDict(model="bitmap")`` — the 3-Grams/4-Grams bitmap-trie
-                       (Figure 6): breadth-first nodes of
-                       256-bit-bitmap + 32-bit counter (36 B/node);
-* ``TrieDict(model="art")``    — the ART-based dictionary for ALM /
-                       ALM-Improved: same lookup, ART-style adaptive
-                       node memory accounting with full (non-optimistic)
-                       path compression, per the paper's three ART
-                       modifications;
-* ``SortedBoundaryDict`` — binary search over the boundary list; the
-                       baseline the paper reports the bitmap-trie to be
-                       2.3x faster than.
+* ``ArrayDict``    — Single-Char (256 entries) and Double-Char
+                     (256*257 entries, terminator layout): one O(1)
+                     array probe;
+* ``BoundaryDict`` — every variable-interval scheme (3/4-Grams, ALM,
+                     ALM-Improved): a bisect over the sorted left
+                     boundaries. Its ``model`` only selects the memory
+                     layout charged by ``trie_memory_bytes``:
+                     ``"bitmap"`` is the 3-Grams/4-Grams bitmap-trie
+                     (Figure 6) and ``"art"`` the ART-based dictionary
+                     for ALM / ALM-Improved.
 
 Memory accounting is analytic (see ``memory_bytes``): Python object
 overhead is irrelevant to the paper's numbers, which are layout
@@ -27,19 +23,29 @@ arithmetic (DESIGN.md §3/§5).
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import List, Sequence, Tuple
 
 from .intervals import Interval
+from .strutil import lcp
 
 Lookup = Tuple[int, int, int]  # (code, nbits, symbol_len)
 
 # Per-entry value cost shared by all structures: 32-bit code + 8-bit length.
 _VALUE_BYTES = 5
+# Bitmap-trie node: 256-bit child bitmap + 32-bit prefix counter (Figure 6).
+_BITMAP_NODE_BYTES = 36
+_TRIE_MODELS = ("bitmap", "art")
 
 
 class BaseDict:
-    """Interface: lookup(src, pos) -> (code, nbits, symbol_len)."""
+    """Interface: lookup(src, pos) -> (code, nbits, symbol_len).
+
+    ``max_boundary_len`` is the longest interval left boundary: a lookup
+    never reads more than that many bytes of ``src[pos:]``.
+    """
+
+    max_boundary_len: int
 
     def lookup(self, src: bytes, pos: int) -> Lookup:  # pragma: no cover
         raise NotImplementedError
@@ -49,29 +55,6 @@ class BaseDict:
 
     def __len__(self) -> int:  # pragma: no cover
         raise NotImplementedError
-
-
-class SortedBoundaryDict(BaseDict):
-    """Binary search over sorted left boundaries — correctness baseline."""
-
-    def __init__(self, intervals: Sequence[Interval]):
-        self.boundaries: List[bytes] = [iv.lo for iv in intervals]
-        self.values: List[Lookup] = [(iv.code, iv.nbits, len(iv.symbol)) for iv in intervals]
-        self.max_boundary_len: int = max(len(b) for b in self.boundaries)
-
-    def lookup(self, src: bytes, pos: int) -> Lookup:
-        suffix = src[pos:]
-        i = bisect_right(self.boundaries, suffix) - 1
-        if i < 0:
-            raise KeyError(f"no interval contains {suffix!r} (incomplete dictionary)")
-        return self.values[i]
-
-    def memory_bytes(self) -> int:
-        # boundary bytes + 8B offset per entry + value payload
-        return sum(len(b) for b in self.boundaries) + len(self.boundaries) * (8 + _VALUE_BYTES)
-
-    def __len__(self) -> int:
-        return len(self.boundaries)
 
 
 class ArrayDict(BaseDict):
@@ -91,7 +74,7 @@ class ArrayDict(BaseDict):
         if len(intervals) != expected:
             raise ValueError(f"width-{width} ArrayDict needs {expected} entries, got {len(intervals)}")
         self.width = width
-        self.max_boundary_len: int = width
+        self.max_boundary_len = width
         self.codes: List[int] = [iv.code for iv in intervals]
         self.nbits: List[int] = [iv.nbits for iv in intervals]
         self.symlen: List[int] = [len(iv.symbol) for iv in intervals]
@@ -111,128 +94,99 @@ class ArrayDict(BaseDict):
         return len(self.codes)
 
 
-class _TrieNode:
-    __slots__ = ("children", "labels", "term", "max_val")
+class BoundaryDict(BaseDict):
+    """Predecessor lookup by bisecting the sorted interval left boundaries.
 
-    def __init__(self) -> None:
-        self.children: Dict[int, "_TrieNode"] = {}
-        self.labels: List[int] = []  # sorted
-        self.term: Optional[int] = None  # value index if a boundary ends here
-        self.max_val: int = -1  # max value index in subtree
+    The probe is ``src[pos:pos + max_boundary_len]``: a boundary no
+    longer than the probe is ``<=`` the probe iff it is ``<=`` the whole
+    suffix, so the bounded probe finds the same interval without copying
+    the rest of a long key.
 
-
-class TrieDict(BaseDict):
-    """Trie over interval left boundaries with predecessor lookup.
-
-    ``model="bitmap"`` reproduces the paper's bitmap-trie accounting
-    (36 B per node: 256-bit bitmap + 32-bit prefix-counter; Figure 6),
-    appropriate for the bounded-depth 3-Grams/4-Grams boundaries.
-
-    ``model="art"`` reproduces the modified-ART accounting for ALM
-    boundaries of arbitrary length: single-child chains collapse into
-    a stored full prefix (no optimistic skipping, per §4.2), and each
-    branching node is charged the smallest fitting adaptive node type
-    (Node4/16/48/256 + 16 B header).
+    ``model`` ("bitmap" or "art") picks the paper's memory layout for
+    ``memory_bytes``; it does not change the lookup.
     """
 
     def __init__(self, intervals: Sequence[Interval], model: str = "bitmap"):
-        if model not in ("bitmap", "art"):
-            raise ValueError("model must be 'bitmap' or 'art'")
+        if model not in _TRIE_MODELS:
+            raise ValueError(f"model must be one of {_TRIE_MODELS}")
         self.model = model
+        self.boundaries: List[bytes] = [iv.lo for iv in intervals]
+        if any(a >= b for a, b in zip(self.boundaries, self.boundaries[1:])):
+            raise ValueError("interval boundaries must be strictly increasing")
         self.values: List[Lookup] = [(iv.code, iv.nbits, len(iv.symbol)) for iv in intervals]
-        self.max_boundary_len: int = max(len(iv.lo) for iv in intervals)
-        self.root = _TrieNode()
-        self.n_entries = len(intervals)
-        for idx, iv in enumerate(intervals):
-            node = self.root
-            node.max_val = max(node.max_val, idx)
-            for b in iv.lo:
-                child = node.children.get(b)
-                if child is None:
-                    child = _TrieNode()
-                    node.children[b] = child
-                    node.labels.append(b)  # boundaries sorted -> labels arrive sorted
-                node = child
-                node.max_val = max(node.max_val, idx)
-            if node.term is not None:
-                raise ValueError(f"duplicate boundary {iv.lo!r}")
-            node.term = idx
+        self.max_boundary_len = max(map(len, self.boundaries))
 
-    def _subtree_max(self, node: _TrieNode) -> int:
-        return node.max_val
+    def index(self, src: bytes, pos: int) -> int:
+        """Index of the interval containing ``src[pos:]``."""
+        i = bisect_right(self.boundaries, src[pos : pos + self.max_boundary_len]) - 1
+        if i < 0:
+            raise KeyError(f"no interval contains {src[pos:]!r} (incomplete dictionary)")
+        return i
 
     def lookup(self, src: bytes, pos: int) -> Lookup:
-        node = self.root
-        d = pos
-        n = len(src)
-        cand = -1  # best value index strictly below the current path tip
-        while True:
-            if d >= n:
-                if node.term is not None:
-                    return self.values[node.term]
-                break
-            if node.term is not None:
-                cand = node.term
-            c = src[d]
-            labels = node.labels
-            # greatest label < c as a deeper (hence greater) candidate
-            j = bisect_left(labels, c)
-            if j > 0:
-                cand = node.children[labels[j - 1]].max_val
-            child = node.children.get(c)
-            if child is None:
-                break
-            node = child
-            d += 1
-        if cand < 0:
-            raise KeyError(f"no interval contains {src[pos:]!r} (incomplete dictionary)")
-        return self.values[cand]
-
-    # -- memory models ---------------------------------------------------
-    def _count_bitmap_nodes(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            nd = stack.pop()
-            count += 1
-            stack.extend(nd.children.values())
-        return count
-
-    @staticmethod
-    def _art_node_bytes(fanout: int) -> int:
-        header = 16
-        if fanout <= 4:
-            return header + 4 * 1 + 4 * 8
-        if fanout <= 16:
-            return header + 16 * 1 + 16 * 8
-        if fanout <= 48:
-            return header + 256 + 48 * 8
-        return header + 256 * 8
-
-    def _art_memory(self) -> int:
-        # Collapse single-child, non-terminal chains into prefixes; charge
-        # each remaining node an adaptive layout + its stored full prefix.
-        total = 0
-        stack = [self.root]
-        while stack:
-            nd = stack.pop()
-            fanout = len(nd.children) + (1 if nd.term is not None else 0)
-            total += self._art_node_bytes(max(1, fanout))
-            for child in nd.children.values():
-                # collapse this child's unary chain into a stored prefix
-                chain = 0
-                cur = child
-                while len(cur.children) == 1 and cur.term is None:
-                    chain += 1
-                    cur = next(iter(cur.children.values()))
-                total += chain  # full common prefix stored (no OCPS)
-                stack.append(cur)
-        return total
+        return self.values[self.index(src, pos)]
 
     def memory_bytes(self) -> int:
-        if self.model == "bitmap":
-            return self._count_bitmap_nodes() * 36 + self.n_entries * _VALUE_BYTES
-        return self._art_memory() + self.n_entries * _VALUE_BYTES
+        return trie_memory_bytes(self.boundaries, self.model)
 
     def __len__(self) -> int:
-        return self.n_entries
+        return len(self.boundaries)
+
+
+def _art_node_bytes(fanout: int) -> int:
+    """Smallest adaptive ART node (Node4/16/48/256, 16 B header) for ``fanout``."""
+    header = 16
+    if fanout <= 4:
+        return header + 4 * 1 + 4 * 8
+    if fanout <= 16:
+        return header + 16 * 1 + 16 * 8
+    if fanout <= 48:
+        return header + 256 + 48 * 8
+    return header + 256 * 8
+
+
+def _art_folded_or_node_bytes(fanout: int, ends_here: bool) -> int:
+    """A non-root node's ART cost: 1 prefix byte if it is folded, else a node."""
+    return 1 if fanout == 1 and not ends_here else _art_node_bytes(fanout)
+
+
+def trie_memory_bytes(boundaries: Sequence[bytes], model: str) -> int:
+    """Analytic size of a trie dictionary over sorted, distinct ``boundaries``.
+
+    The trie's nodes are the distinct prefixes of the boundaries (the
+    empty prefix is the root). Sorted boundaries visit them depth-first:
+    boundary ``b`` adds one child to its longest common prefix with the
+    previous boundary and new nodes for its longer prefixes.
+
+    ``"bitmap"`` charges every node 36 B (Figure 6). ``"art"`` is the
+    modified ART of §4.2: a non-root node with one child that ends no
+    boundary is folded into its child's stored full prefix (1 B each, no
+    optimistic skipping); every other node is charged the smallest
+    adaptive node for its fanout, a boundary ending there counting as one
+    child. Both add 5 B of code + length per entry.
+    """
+    if model not in _TRIE_MODELS:
+        raise ValueError(f"model must be one of {_TRIE_MODELS}")
+    values = len(boundaries) * _VALUE_BYTES
+    if model == "bitmap":
+        prev = b""
+        nodes = 1
+        for b in boundaries:
+            nodes += len(b) - len(lcp(prev, b))
+            prev = b
+        return nodes * _BITMAP_NODE_BYTES + values
+    # [fanout, ends here] of each node on the previous boundary's path,
+    # root first; a boundary ending at a node counts as one child
+    path = [[0, False]]
+    total = 0
+    prev = b""
+    for b in boundaries:
+        shared = len(lcp(prev, b))
+        while len(path) > shared + 1:
+            total += _art_folded_or_node_bytes(*path.pop())
+        path[shared][0] += 1
+        path += [[1, False] for _ in range(len(b) - shared - 1)] + [[1, True]]
+        prev = b
+    while len(path) > 1:
+        total += _art_folded_or_node_bytes(*path.pop())
+    return total + _art_node_bytes(path[0][0]) + values

@@ -67,13 +67,11 @@ class Encoder:
         consumes nothing), as observed in Appendix B.
         """
         lookup = self.dictionary.lookup
-        maxlen = getattr(self.dictionary, "max_boundary_len", None)
+        maxlen = self.dictionary.max_boundary_len
         acc = 0
         nbits = 0
         pos = 0
         n = len(prefix)
-        if maxlen is None:
-            return acc, nbits, pos
         while n - pos >= maxlen:
             code, cbits, symlen = lookup(prefix, pos)
             acc = (acc << cbits) | code

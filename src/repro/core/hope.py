@@ -18,18 +18,21 @@ alm-improved   ALM-Improved      Hu-Tucker      ART-based trie
 Build timing is recorded per module (symbol_select / code_assign /
 dict_build) to reproduce Figure 9. Interval access probabilities come
 from a test encoding of the samples over the chosen intervals (§4.2),
-using the binary-search baseline dictionary.
+using ``BoundaryDict``'s predecessor query.
+
+The Dictionary column is the paper's memory layout: the two trie rows
+execute the same ``BoundaryDict`` bisect and differ only in the model
+``memory_bytes`` charges (``dictionary.trie_memory_bytes``).
 """
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from . import symbol_select as ss
 from .code_assign import assign_fixed, assign_hu_tucker
-from .dictionary import ArrayDict, BaseDict, SortedBoundaryDict, TrieDict
+from .dictionary import ArrayDict, BaseDict, BoundaryDict
 from .encoder import EncodedKey, Encoder
 from .intervals import Interval, build_intervals, check_order_preserving, with_codes
 
@@ -111,14 +114,14 @@ def _test_encode_probabilities(
     intervals: Sequence[Interval], samples: Sequence[bytes]
 ) -> List[float]:
     """Interval hit counts from test-encoding the samples (§4.2)."""
-    boundaries = [iv.lo for iv in intervals]
+    index = BoundaryDict(intervals).index
     symlens = [len(iv.symbol) for iv in intervals]
     hits = [0] * len(intervals)
     for key in samples:
         pos = 0
         n = len(key)
         while pos < n:
-            i = bisect_right(boundaries, key[pos:]) - 1
+            i = index(key, pos)
             hits[i] += 1
             pos += symlens[i]
     return [float(h) for h in hits]
@@ -128,13 +131,7 @@ def _build_dictionary(kind: str, intervals: Sequence[Interval]) -> BaseDict:
     if kind == "array":
         width = 1 if len(intervals) == 256 else 2
         return ArrayDict(intervals, width=width)
-    if kind == "bitmap":
-        return TrieDict(intervals, model="bitmap")
-    if kind == "art":
-        return TrieDict(intervals, model="art")
-    if kind == "sorted":
-        return SortedBoundaryDict(intervals)
-    raise ValueError(f"unknown dictionary kind {kind}")
+    return BoundaryDict(intervals, model=kind)
 
 
 def build_hope(
@@ -143,20 +140,15 @@ def build_hope(
     max_dict_entries: int = 1 << 16,
     freqs=None,
     validate: bool = False,
-    dictionary_kind: Optional[str] = None,
 ) -> HopeEncoder:
     """Run HOPE's Build phase and return a ready-to-encode instance.
 
     ``freqs`` optionally supplies pre-computed pattern frequencies (the
-    Spark path); ``validate`` runs the string-axis model checks;
-    ``dictionary_kind`` overrides the scheme's dictionary structure
-    (used by the bitmap-trie-vs-binary-search microbenchmark).
+    Spark path); ``validate`` runs the string-axis model checks.
     """
     if scheme not in SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     sel_kind, fixed_size, code_kind, dict_kind = SCHEME_TABLE[scheme]
-    if dictionary_kind is not None:
-        dict_kind = dictionary_kind
     if fixed_size is not None:
         max_dict_entries = fixed_size
 

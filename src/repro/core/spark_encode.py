@@ -13,7 +13,7 @@ Output columns:
   on (``enc_key``, ``enc_nbits``) equals source-key order;
 * ``enc_nbits`` (int)    — meaningful bit count (the padding tiebreak).
 
-``check_order_preserved`` verifies the property inside Spark: ranking
+``check_order_preserved`` verifies the property on the driver: ranking
 by the encoded pair must equal ranking by the source key.
 """
 from __future__ import annotations
@@ -52,8 +52,8 @@ def check_order_preserved(encoded: DataFrame, key_col: str) -> int:
     """Count order violations between source-key rank and encoded rank.
 
     Returns 0 iff sorting by (enc_key, enc_nbits) equals sorting by the
-    source key. Runs as a window-free self-join-free aggregate: collect
-    both rankings via two sorts of the key triple (cheap at repro scale).
+    source key. The check is not distributed: it ``collect()``s every
+    row to the driver and sorts the rows there twice, once per ranking.
     """
     rows = encoded.select(key_col, "enc_key", "enc_nbits").collect()
     by_src = sorted(rows, key=lambda r: r[key_col].encode("latin-1"))

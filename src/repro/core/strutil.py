@@ -115,8 +115,3 @@ def bits_to_bytes(value: int, nbits: int) -> bytes:
         return b""
     pad = (-nbits) % 8
     return (value << pad).to_bytes((nbits + 7) // 8, "big")
-
-
-def encoded_sort_key(payload: bytes, nbits: int) -> Tuple[bytes, int]:
-    """Total order over encoded keys equal to bitstring order (see module doc)."""
-    return (payload, nbits)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from repro.core.code_assign import assign_fixed
-from repro.core.dictionary import SortedBoundaryDict
+from repro.core.dictionary import ArrayDict
 from repro.core.encoder import Encoder
 from repro.core.hope import build_hope
 from repro.core.intervals import build_intervals, with_codes
@@ -15,7 +15,7 @@ SAMPLES = [b"com.gmail@alice", b"com.gmail@bob", b"org.wiki@dave"] * 30
 
 def _single_char_encoder():
     ivs = with_codes(build_intervals(select_single_char(SAMPLES)), assign_fixed(256))
-    return Encoder(SortedBoundaryDict(ivs))
+    return Encoder(ArrayDict(ivs, width=1))
 
 
 class TestEncodeBits:

@@ -7,9 +7,8 @@ import random
 
 import pytest
 
-from repro.core.dictionary import ArrayDict, TrieDict
+from repro.core.dictionary import ArrayDict, BoundaryDict
 from repro.core.hope import SCHEME_TABLE, SCHEMES, build_hope
-from repro.core.strutil import encoded_sort_key
 from repro.workloads.datasets import dataset_keys
 
 DICT_SIZE = 2048
@@ -34,8 +33,8 @@ class TestTable1Wiring:
 
     @pytest.mark.parametrize("scheme,dict_cls", [
         ("single", ArrayDict), ("double", ArrayDict),
-        ("3grams", TrieDict), ("4grams", TrieDict),
-        ("alm", TrieDict), ("alm-improved", TrieDict),
+        ("3grams", BoundaryDict), ("4grams", BoundaryDict),
+        ("alm", BoundaryDict), ("alm-improved", BoundaryDict),
     ])
     def test_dictionary_structure(self, scheme, dict_cls, built):
         hope, _ = built[(scheme, "email")]
@@ -71,7 +70,7 @@ class TestSchemeGuarantees:
     def test_order_preserving(self, scheme, ds, built):
         hope, keys = built[(scheme, ds)]
         ordered = sorted(set(keys))
-        enc = [encoded_sort_key(*hope.encode(k)) for k in ordered]
+        enc = [hope.encode(k) for k in ordered]
         assert all(a < b for a, b in zip(enc, enc[1:]))
 
     def test_completeness_arbitrary_bytes(self, scheme, ds, built):
@@ -126,10 +125,3 @@ class TestBuildMetadata:
         small = build_hope("3grams", keys[:400], max_dict_entries=1024)
         large = build_hope("3grams", keys[:400], max_dict_entries=8192)
         assert large.compression_rate(keys[400:]) >= small.compression_rate(keys[400:]) - 0.05
-
-    def test_dictionary_kind_override(self):
-        keys = dataset_keys("email", 200, seed=4)
-        hope = build_hope("3grams", keys, max_dict_entries=1024, dictionary_kind="sorted")
-        from repro.core.dictionary import SortedBoundaryDict
-
-        assert isinstance(hope.dictionary, SortedBoundaryDict)

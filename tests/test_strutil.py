@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from repro.core.strutil import (
     bits_to_bytes,
     code_key,
-    encoded_sort_key,
     increment,
     interval_symbol,
     is_prefix_free,
@@ -136,7 +135,7 @@ class TestCodes:
 
     @given(st.lists(st.tuples(st.integers(0, 255), st.integers(1, 8)), min_size=2, max_size=20))
     @settings(max_examples=200)
-    def test_encoded_sort_key_equals_bitstring_order(self, items):
+    def test_padded_bytes_then_nbits_equals_bitstring_order(self, items):
         # build random bitstrings from (value, nbits) chunks
         def assemble(chunks):
             acc, n = 0, 0
@@ -147,8 +146,8 @@ class TestCodes:
 
         a = assemble(items[: len(items) // 2 + 1])
         b = assemble(items[len(items) // 2 :])
-        sa = encoded_sort_key(bits_to_bytes(*a), a[1])
-        sb = encoded_sort_key(bits_to_bytes(*b), b[1])
+        sa = (bits_to_bytes(*a), a[1])
+        sb = (bits_to_bytes(*b), b[1])
         # compare as actual bitstrings
         bits_a = bin(a[0])[2:].zfill(a[1]) if a[1] else ""
         bits_b = bin(b[0])[2:].zfill(b[1]) if b[1] else ""
