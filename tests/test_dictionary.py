@@ -98,23 +98,43 @@ class TestArrayDict:
         _check_every_position(ArrayDict(ivs, width=width), ivs, key)
 
 
-class TestBoundaryDict:
+class TestTrieDict:
+    """BoundaryDict with a trie memory model: the lookup is the same under
+    both models, only ``memory_bytes()`` differs."""
+
     @pytest.mark.parametrize("name,boundaries", BOUNDARY_SETS)
+    @pytest.mark.parametrize("model", ["bitmap", "art"])
     @given(key=KEYS)
     @settings(max_examples=100, deadline=None)
-    def test_matches_baseline(self, name, boundaries, key):
+    def test_matches_baseline(self, name, boundaries, model, key):
         ivs = _made(boundaries)
-        _check_every_position(BoundaryDict(ivs), ivs, key)
+        _check_every_position(BoundaryDict(ivs, model=model), ivs, key)
 
     def test_duplicate_boundary_raises(self):
         ivs = _made(select_single_char(SAMPLES))
         with pytest.raises(ValueError):
             BoundaryDict(list(ivs) + [ivs[-1]])
 
+    def test_bitmap_memory_is_36b_per_node(self):
+        ivs = _made(select_single_char(SAMPLES))
+        d = BoundaryDict(ivs, model="bitmap")
+        # 256 single-byte boundaries -> root + 256 children = 257 nodes
+        assert d.memory_bytes() == 257 * 36 + 256 * 5
+
+    def test_art_memory_smaller_than_bitmap_for_sparse(self):
+        ivs = _made(select_alm(SAMPLES, 1024, improved=True))
+        bitmap = BoundaryDict(ivs, model="bitmap").memory_bytes()
+        art = BoundaryDict(ivs, model="art").memory_bytes()
+        assert art > 0 and bitmap > 0
+
     def test_invalid_model(self):
         ivs = _made(select_single_char(SAMPLES))
         with pytest.raises(ValueError):
             BoundaryDict(ivs, model="wat")
+
+
+class TestSortedBaseline:
+    """BoundaryDict as the sorted-boundary (bisect) dictionary."""
 
     def test_incomplete_raises(self):
         ivs = _made(select_single_char(SAMPLES))[10:]
@@ -125,6 +145,15 @@ class TestBoundaryDict:
     def test_len(self):
         ivs = _made(select_single_char(SAMPLES))
         assert len(BoundaryDict(ivs)) == 256
+
+    def test_bitmap_trie_1_4x_of_array(self):
+        """Paper §6.1: the 3-Grams bitmap-trie is ~1.4x the Double-Char
+        array at the same entry count; we check the same order of
+        magnitude (structure-dependent)."""
+        ivs3 = _made(select_grams(SAMPLES * 10, 3, 65536))
+        trie = BoundaryDict(ivs3, model="bitmap")
+        per_entry_trie = trie.memory_bytes() / len(trie)
+        assert per_entry_trie < 5 * 36  # sane: far below one node per entry
 
 
 class TestTrieMemoryModels:
@@ -143,23 +172,8 @@ class TestTrieMemoryModels:
         d = BoundaryDict(_made(boundaries), model=model)
         assert d.memory_bytes() == trie_memory_bytes(boundaries, model) == self.GOLDEN[name][model]
 
-    def test_bitmap_memory_is_36b_per_node(self):
-        ivs = _made(select_single_char(SAMPLES))
-        d = BoundaryDict(ivs, model="bitmap")
-        # 256 single-byte boundaries -> root + 256 children = 257 nodes
-        assert d.memory_bytes() == 257 * 36 + 256 * 5
-
     def test_art_collapses_unary_chains(self):
         # root -> "a" (Node4) -> "ab" then "abcd"; "abc" is a unary chain
         # byte folded into the leaf's stored prefix.
         node4 = 16 + 4 + 32
         assert trie_memory_bytes([b"a", b"ab", b"abcd"], "art") == 4 * node4 + 1 + 3 * 5
-
-    def test_bitmap_trie_1_4x_of_array(self):
-        """Paper §6.1: the 3-Grams bitmap-trie is ~1.4x the Double-Char
-        array at the same entry count; we check the same order of
-        magnitude (structure-dependent)."""
-        ivs3 = _made(select_grams(SAMPLES * 10, 3, 65536))
-        trie = BoundaryDict(ivs3, model="bitmap")
-        per_entry_trie = trie.memory_bytes() / len(trie)
-        assert per_entry_trie < 5 * 36  # sane: far below one node per entry
