@@ -1,24 +1,18 @@
-"""Code Assigner module (HOPE §4.2).
+"""Code Assigner module (HOPE §4.2): the fixed-length strategy.
 
-Two strategies, as in the paper:
-
-* ``assign_fixed`` — monotonically increasing fixed-length codes of
-  ``ceil(log2 N)`` bits (used by ALM);
-* ``assign_hu_tucker`` — optimal order-preserving prefix codes from the
-  interval access probabilities (used by Single/Double-Char, 3/4-Grams,
-  ALM-Improved).
-
-Probabilities are the per-lookup interval hit rates obtained by
-test-encoding the sample (Symbol Selector's last step). Hu-Tucker on
-the raw hit rates minimises ``sum(p_i * len(c_i))``, i.e. maximises the
-paper's CPR for a fixed interval division.
+``assign_fixed`` gives monotonically increasing fixed-length codes of
+``ceil(log2 N)`` bits (used by ALM). The paper's other strategy,
+optimal order-preserving prefix codes from the interval access
+probabilities (Single/Double-Char, 3/4-Grams, ALM-Improved), is
+``hu_tucker.hu_tucker_codes``: on the raw hit rates obtained by
+test-encoding the sample it minimises ``sum(p_i * len(c_i))``, i.e.
+maximises the paper's CPR for a fixed interval division.
 """
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
-from .hu_tucker import hu_tucker_codes
 from .strutil import Code
 
 
@@ -28,8 +22,3 @@ def assign_fixed(n: int) -> List[Code]:
         return []
     nbits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
     return [(i, nbits) for i in range(n)]
-
-
-def assign_hu_tucker(probabilities: Sequence[float]) -> List[Code]:
-    """Optimal order-preserving prefix codes for the given axis-ordered weights."""
-    return hu_tucker_codes(probabilities)

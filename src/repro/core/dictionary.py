@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, Sequence, Tuple
 
+from ..trees.art import node_bytes as art_node_bytes
 from .intervals import Interval
 from .strutil import lcp
 
@@ -133,21 +134,9 @@ class BoundaryDict(BaseDict):
         return len(self.boundaries)
 
 
-def _art_node_bytes(fanout: int) -> int:
-    """Smallest adaptive ART node (Node4/16/48/256, 16 B header) for ``fanout``."""
-    header = 16
-    if fanout <= 4:
-        return header + 4 * 1 + 4 * 8
-    if fanout <= 16:
-        return header + 16 * 1 + 16 * 8
-    if fanout <= 48:
-        return header + 256 + 48 * 8
-    return header + 256 * 8
-
-
 def _art_folded_or_node_bytes(fanout: int, ends_here: bool) -> int:
     """A non-root node's ART cost: 1 prefix byte if it is folded, else a node."""
-    return 1 if fanout == 1 and not ends_here else _art_node_bytes(fanout)
+    return 1 if fanout == 1 and not ends_here else art_node_bytes(fanout)
 
 
 def trie_memory_bytes(boundaries: Sequence[bytes], model: str) -> int:
@@ -189,4 +178,4 @@ def trie_memory_bytes(boundaries: Sequence[bytes], model: str) -> int:
         prev = b
     while len(path) > 1:
         total += _art_folded_or_node_bytes(*path.pop())
-    return total + _art_node_bytes(path[0][0]) + values
+    return total + art_node_bytes(path[0][0]) + values

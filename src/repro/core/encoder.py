@@ -2,10 +2,12 @@
 
 ``Encoder.encode`` repeatedly looks the remaining key suffix up in the
 dictionary, consumes ``symbol_len`` bytes and appends the code bits,
-until the suffix is empty. Codes are accumulated in a single arbitrary-
-precision integer (Python's native big-int plays the role of the
-paper's chain of 64-bit shift/OR buffers — same semantics, fewer moving
-parts) and materialised as zero-padded bytes plus an explicit bit count.
+until the suffix is empty; ``_walk`` is that loop, shared by the
+single-key and batched paths. Codes are accumulated in a single
+arbitrary-precision integer (Python's native big-int plays the role of
+the paper's chain of 64-bit shift/OR buffers — same semantics, fewer
+moving parts) and materialised as zero-padded bytes plus an explicit
+bit count.
 
 Bitstring order of two encoded keys equals the lexicographic order of
 ``(padded_bytes, nbits)`` (proof in ``strutil``), so search trees can
@@ -34,23 +36,25 @@ class Encoder:
     def __init__(self, dictionary: BaseDict):
         self.dictionary = dictionary
 
-    # -- single-key ------------------------------------------------------
-    def encode_bits(self, key: bytes) -> Tuple[int, int]:
-        """Encode to (bit accumulator, total bits)."""
+    def _walk(self, src: bytes, pos: int, stop: int, acc: int, nbits: int) -> Tuple[int, int, int]:
+        """The encode loop: look ``src[pos:]`` up, append its code, consume
+        its symbol, while ``pos < stop``. Returns (acc, nbits, pos)."""
         lookup = self.dictionary.lookup
-        acc = 0
-        nbits = 0
-        pos = 0
-        n = len(key)
-        while pos < n:
-            code, cbits, symlen = lookup(key, pos)
+        while pos < stop:
+            code, cbits, symlen = lookup(src, pos)
             acc = (acc << cbits) | code
             nbits += cbits
             pos += symlen
+        return acc, nbits, pos
+
+    # -- single-key ------------------------------------------------------
+    def encode_bits(self, key: bytes) -> Tuple[int, int]:
+        """Encode to (bit accumulator, total bits)."""
+        acc, nbits, _ = self._walk(key, 0, len(key), 0, 0)
         return acc, nbits
 
     def encode(self, key: bytes) -> EncodedKey:
-        acc, nbits = self.encode_bits(key)
+        acc, nbits, _ = self._walk(key, 0, len(key), 0, 0)
         return bits_to_bytes(acc, nbits), nbits
 
     # -- batched (sorted) ------------------------------------------------
@@ -66,18 +70,8 @@ class Encoder:
         k-gram schemes but not ALM (unbounded boundaries → checkpoint
         consumes nothing), as observed in Appendix B.
         """
-        lookup = self.dictionary.lookup
-        maxlen = self.dictionary.max_boundary_len
-        acc = 0
-        nbits = 0
-        pos = 0
-        n = len(prefix)
-        while n - pos >= maxlen:
-            code, cbits, symlen = lookup(prefix, pos)
-            acc = (acc << cbits) | code
-            nbits += cbits
-            pos += symlen
-        return acc, nbits, pos
+        stop = len(prefix) - self.dictionary.max_boundary_len + 1
+        return self._walk(prefix, 0, stop, 0, 0)
 
     def encode_batch(self, keys: Sequence[bytes]) -> List[EncodedKey]:
         """Encode a sorted run of keys, sharing the common-prefix work."""
@@ -93,16 +87,9 @@ class Encoder:
         if not prefix:
             return [self.encode(k) for k in keys]
         acc0, nbits0, consumed = self._encode_prefix_checkpoint(prefix)
-        lookup = self.dictionary.lookup
         out: List[EncodedKey] = []
         for k in keys:
-            acc, nbits, pos = acc0, nbits0, consumed
-            n = len(k)
-            while pos < n:
-                code, cbits, symlen = lookup(k, pos)
-                acc = (acc << cbits) | code
-                nbits += cbits
-                pos += symlen
+            acc, nbits, _ = self._walk(k, consumed, len(k), acc0, nbits0)
             out.append((bits_to_bytes(acc, nbits), nbits))
         return out
 

@@ -1,52 +1,81 @@
 """HOPE facade: Build phase wiring (paper Table 1 + Figure 5).
 
-``build_hope(scheme, samples, max_dict_entries)`` runs the two-module
-build pipeline — Symbol Selector → Code Assigner — and materialises the
-scheme's Dictionary + Encoder:
+``SCHEME_TABLE`` maps each scheme to its three modules, which
+``build_hope(scheme, samples, max_dict_entries)`` calls in order —
+Symbol Selector → Code Assigner → Dictionary — before wrapping the
+dictionary in an ``Encoder``:
 
-=============  ================  =============  ==============
-Scheme         Symbol Selector   Code Assigner  Dictionary
-=============  ================  =============  ==============
-single         Single-Char       Hu-Tucker      Array (256)
-double         Double-Char       Hu-Tucker      Array (256*257)
-alm            ALM               Fixed-Length   ART-based trie
-3grams         3-Grams           Hu-Tucker      Bitmap-trie
-4grams         4-Grams           Hu-Tucker      Bitmap-trie
-alm-improved   ALM-Improved      Hu-Tucker      ART-based trie
-=============  ================  =============  ==============
+=============  ==============================  ===================  ==============================
+Scheme         Symbol Selector                 Code Assigner        Dictionary
+=============  ==============================  ===================  ==============================
+single         ``select_single_char``          ``hu_tucker_codes``  ``ArrayDict`` width 1 (256)
+double         ``select_double_char``          ``hu_tucker_codes``  ``ArrayDict`` width 2 (256*257)
+3grams         ``select_grams`` k=3            ``hu_tucker_codes``  ``BoundaryDict`` model bitmap
+4grams         ``select_grams`` k=4            ``hu_tucker_codes``  ``BoundaryDict`` model bitmap
+alm            ``select_alm``                  ``assign_fixed``     ``BoundaryDict`` model art
+alm-improved   ``select_alm`` improved         ``hu_tucker_codes``  ``BoundaryDict`` model art
+=============  ==============================  ===================  ==============================
 
 Build timing is recorded per module (symbol_select / code_assign /
 dict_build) to reproduce Figure 9. Interval access probabilities come
 from a test encoding of the samples over the chosen intervals (§4.2),
-using ``BoundaryDict``'s predecessor query.
+using ``BoundaryDict``'s predecessor query. Every build ends with the
+one-pass ``check_order_preserving`` of the coded intervals.
 
-The Dictionary column is the paper's memory layout: the two trie rows
-execute the same ``BoundaryDict`` bisect and differ only in the model
-``memory_bytes`` charges (``dictionary.trie_memory_bytes``).
+The two ``BoundaryDict`` models execute the same bisect and differ only
+in the paper memory layout ``memory_bytes`` charges: bitmap-trie
+(Figure 6) or ART-based trie (``dictionary.trie_memory_bytes``).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import symbol_select as ss
-from .code_assign import assign_fixed, assign_hu_tucker
+from .code_assign import assign_fixed
 from .dictionary import ArrayDict, BaseDict, BoundaryDict
 from .encoder import EncodedKey, Encoder
+from .hu_tucker import hu_tucker_codes
 from .intervals import Interval, build_intervals, check_order_preserving, with_codes
 
-SCHEMES = ("single", "double", "3grams", "4grams", "alm", "alm-improved")
-
-#: scheme -> (selector kind, fixed dictionary size or None, code kind, dict kind)
-SCHEME_TABLE = {
-    "single": ("single", 256, "hu-tucker", "array"),
-    "double": ("double", 256 * 257, "hu-tucker", "array"),
-    "alm": ("alm", None, "fixed", "art"),
-    "3grams": ("grams3", None, "hu-tucker", "bitmap"),
-    "4grams": ("grams4", None, "hu-tucker", "bitmap"),
-    "alm-improved": ("alm-improved", None, "hu-tucker", "art"),
+#: scheme -> (Symbol Selector ``(samples, max_entries, freqs) -> boundaries``,
+#: Code Assigner ``(access probabilities) -> codes``,
+#: Dictionary ``(coded intervals) -> BaseDict``)
+SCHEME_TABLE: Dict[str, Tuple[Callable, Callable, Callable]] = {
+    "single": (
+        lambda samples, max_entries, freqs: ss.select_single_char(samples),
+        hu_tucker_codes,
+        partial(ArrayDict, width=1),
+    ),
+    "double": (
+        lambda samples, max_entries, freqs: ss.select_double_char(samples),
+        hu_tucker_codes,
+        partial(ArrayDict, width=2),
+    ),
+    "3grams": (
+        lambda samples, max_entries, freqs: ss.select_grams(samples, 3, max_entries, freqs),
+        hu_tucker_codes,
+        partial(BoundaryDict, model="bitmap"),
+    ),
+    "4grams": (
+        lambda samples, max_entries, freqs: ss.select_grams(samples, 4, max_entries, freqs),
+        hu_tucker_codes,
+        partial(BoundaryDict, model="bitmap"),
+    ),
+    "alm": (
+        lambda samples, max_entries, freqs: ss.select_alm(samples, max_entries, False, freqs),
+        lambda probabilities: assign_fixed(len(probabilities)),
+        partial(BoundaryDict, model="art"),
+    ),
+    "alm-improved": (
+        lambda samples, max_entries, freqs: ss.select_alm(samples, max_entries, True, freqs),
+        hu_tucker_codes,
+        partial(BoundaryDict, model="art"),
+    ),
 }
+SCHEMES = tuple(SCHEME_TABLE)
 
 
 @dataclass
@@ -69,45 +98,18 @@ class HopeEncoder:
     def encode(self, key: bytes) -> EncodedKey:
         return self.encoder.encode(key)
 
-    def encode_many(self, keys: Sequence[bytes]) -> List[EncodedKey]:
-        enc = self.encoder.encode
-        return [enc(k) for k in keys]
-
-    def compression_rate(self, keys: Sequence[bytes], byte_aligned: bool = False) -> float:
-        """uncompressed bytes / compressed bytes over ``keys``.
-
-        ``byte_aligned=True`` charges each key ceil(nbits/8) — what a
-        byte-oriented tree stores; the default is bit-exact, matching
-        the microbenchmark CPR definition (§6.1).
-        """
+    def compression_rate(self, keys: Sequence[bytes]) -> float:
+        """uncompressed bytes / compressed bytes over ``keys``, bit-exact
+        as in the microbenchmark CPR definition (§6.1)."""
+        encode_bits = self.encoder.encode_bits
         orig = 0
         comp_bits = 0
-        comp_bytes = 0
         for k in keys:
             orig += len(k)
-            _, nbits = self.encoder.encode_bits(k)
-            comp_bits += nbits
-            comp_bytes += (nbits + 7) // 8
+            comp_bits += encode_bits(k)[1]
         if orig == 0:
             return 1.0
-        denom = comp_bytes if byte_aligned else comp_bits / 8.0
-        return orig / denom if denom else float("inf")
-
-
-def _select_boundaries(kind: str, samples: Sequence[bytes], max_entries: int, freqs) -> List[bytes]:
-    if kind == "single":
-        return ss.select_single_char(samples)
-    if kind == "double":
-        return ss.select_double_char(samples)
-    if kind == "grams3":
-        return ss.select_grams(samples, 3, max_entries, freqs=freqs)
-    if kind == "grams4":
-        return ss.select_grams(samples, 4, max_entries, freqs=freqs)
-    if kind == "alm":
-        return ss.select_alm(samples, max_entries, improved=False, freqs=freqs)
-    if kind == "alm-improved":
-        return ss.select_alm(samples, max_entries, improved=True, freqs=freqs)
-    raise ValueError(f"unknown selector {kind}")
+        return orig / (comp_bits / 8.0) if comp_bits else float("inf")
 
 
 def _test_encode_probabilities(
@@ -127,50 +129,34 @@ def _test_encode_probabilities(
     return [float(h) for h in hits]
 
 
-def _build_dictionary(kind: str, intervals: Sequence[Interval]) -> BaseDict:
-    if kind == "array":
-        width = 1 if len(intervals) == 256 else 2
-        return ArrayDict(intervals, width=width)
-    return BoundaryDict(intervals, model=kind)
-
-
 def build_hope(
     scheme: str,
     samples: Sequence[bytes],
     max_dict_entries: int = 1 << 16,
     freqs=None,
-    validate: bool = False,
 ) -> HopeEncoder:
     """Run HOPE's Build phase and return a ready-to-encode instance.
 
-    ``freqs`` optionally supplies pre-computed pattern frequencies (the
-    Spark path); ``validate`` runs the string-axis model checks.
+    ``max_dict_entries`` bounds the variable-interval schemes (Single-
+    and Double-Char have fixed sizes); ``freqs`` optionally supplies
+    pre-computed pattern frequencies (the Spark path). Raises
+    ``AssertionError`` if the codes are not order-preserving.
     """
     if scheme not in SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    sel_kind, fixed_size, code_kind, dict_kind = SCHEME_TABLE[scheme]
-    if fixed_size is not None:
-        max_dict_entries = fixed_size
+    select, assign, make_dictionary = SCHEME_TABLE[scheme]
 
     t0 = time.perf_counter()
-    boundaries = _select_boundaries(sel_kind, samples, max_dict_entries, freqs)
-    intervals = build_intervals(boundaries)
+    intervals = build_intervals(select(samples, max_dict_entries, freqs))
     probs = _test_encode_probabilities(intervals, samples)
     t1 = time.perf_counter()
-
-    if code_kind == "fixed":
-        codes = assign_fixed(len(intervals))
-    else:
-        codes = assign_hu_tucker(probs)
+    codes = assign(probs)
     t2 = time.perf_counter()
-
     intervals = with_codes(intervals, codes)
-    dictionary = _build_dictionary(dict_kind, intervals)
+    dictionary = make_dictionary(intervals)
     t3 = time.perf_counter()
 
-    if validate:
-        check_order_preserving(intervals)
-
+    check_order_preserving(intervals)
     return HopeEncoder(
         scheme=scheme,
         dictionary=dictionary,

@@ -9,15 +9,15 @@ monotonically increasing prefix codes to the intervals yields a
 complete, order-preserving dictionary (§3.1's proof).
 
 ``Interval`` carries everything the Dictionary / Encoder modules need.
-Validators encode the paper's three properties as checks used by tests
-and by ``build_hope`` in debug mode.
+Validators encode the paper's three properties as checks; ``build_hope``
+runs ``check_order_preserving`` on every build.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .strutil import Code, code_key, interval_symbol, is_prefix_free
+from .strutil import Code, interval_symbol
 
 AXIS_START = b"\x00"
 
@@ -73,13 +73,22 @@ def with_codes(intervals: Sequence[Interval], codes: Sequence[Code]) -> List[Int
 
 
 def check_order_preserving(intervals: Sequence[Interval]) -> None:
-    """Codes must be strictly increasing in bitstring order and prefix-free."""
-    codes = [(iv.code, iv.nbits) for iv in intervals]
-    for a, b in zip(codes, codes[1:]):
-        if not code_key(a) < code_key(b):
-            raise AssertionError(f"codes not strictly increasing: {a} !< {b}")
-    if not is_prefix_free(codes):
-        raise AssertionError("codes are not prefix-free")
+    """Codes must be strictly increasing in bitstring order and prefix-free.
+
+    One pass over adjacent codes, compared on their common length: the
+    earlier code must be smaller there, since equal there means one is
+    a prefix of the other. Once codes increase, every code that extends
+    ``c`` comes right after ``c``, so adjacent pairs are enough.
+    """
+    for a, b in zip(intervals, intervals[1:]):
+        shift = a.nbits - b.nbits
+        x, y = (a.code, b.code >> -shift) if shift <= 0 else (a.code >> shift, b.code)
+        if x > y or (x == y and shift >= 0):
+            raise AssertionError(
+                f"codes not strictly increasing: {(a.code, a.nbits)} !< {(b.code, b.nbits)}")
+        if x == y:
+            raise AssertionError(
+                f"codes are not prefix-free: {(a.code, a.nbits)} prefixes {(b.code, b.nbits)}")
 
 
 def check_symbols(intervals: Sequence[Interval]) -> None:

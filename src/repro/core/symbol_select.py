@@ -11,8 +11,8 @@ left boundaries of a complete string-axis partition:
   axis is seeded with the 256 single-byte boundaries so every gap
   interval keeps a non-empty common prefix (DESIGN.md §5);
 * ``alm`` / ``alm_improved`` — VIFC/VIVC: substrings (all substrings /
-  suffixes only) scored by ``len(s) * freq(s)``; a threshold ``W`` is
-  binary-searched to hit the target dictionary size; a *blending* pass
+  suffixes only) scored by ``len(s) * freq(s)``; the threshold ``W`` is the
+  target-th largest score, read from the sorted scores; a *blending* pass
   first redistributes each symbol's count to its longest extension so
   the selected set is prefix-free (Antoshenkov's requirement, §4.2).
 
@@ -33,6 +33,21 @@ _SEEDS = [bytes([b]) for b in range(256)]
 # ALM-Improved by counting only suffixes).
 ALM_MAX_SUBSTR = 16
 ALM_IMPROVED_MAX_SUFFIX = 64
+
+
+def _seeded_boundaries(symbols: Iterable[bytes]) -> List[bytes]:
+    """The 256 single-byte seeds ∪ ``symbols`` ∪ their ``increment``s, sorted.
+
+    Each symbol ``s`` becomes the interval ``[s, increment(s))``; the
+    seeds keep every gap between them a non-empty common prefix.
+    """
+    boundaries = set(_SEEDS)
+    for s in symbols:
+        boundaries.add(s)
+        inc = increment(s)
+        if inc is not None:
+            boundaries.add(inc)
+    return sorted(boundaries)
 
 
 def select_single_char(samples: Sequence[bytes]) -> List[bytes]:
@@ -79,14 +94,7 @@ def select_grams(
     # deterministic tie-break (count desc, gram asc) so the Spark-fed
     # and local paths build byte-identical dictionaries
     ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
-    top = [g for g, _ in ranked[:budget]]
-    boundaries = set(_SEEDS)
-    for g in top:
-        boundaries.add(g)
-        inc = increment(g)
-        if inc is not None:
-            boundaries.add(inc)
-    return sorted(boundaries)
+    return _seeded_boundaries(g for g, _ in ranked[:budget])
 
 
 def count_substrings(samples: Iterable[bytes], max_len: int = ALM_MAX_SUBSTR) -> Counter:
@@ -120,20 +128,16 @@ def blend(freqs: Counter) -> Counter:
     down chains in one pass using a parent map built from sorted order.
     """
     syms = sorted(freqs)
-    blended = Counter(freqs)
     # For each symbol, its longest extension is found by scanning sorted
     # successors that start with it; track via a stack of open prefixes.
     result: Counter = Counter()
     stack: List[bytes] = []  # chain of prefixes of the current symbol
     children_of: Dict[bytes, List[bytes]] = {s: [] for s in syms}
-    roots: List[bytes] = []
     for s in syms:
         while stack and not s.startswith(stack[-1]):
             stack.pop()
         if stack:
             children_of[stack[-1]].append(s)
-        else:
-            roots.append(s)
         stack.append(s)
     # Longest extension = deepest descendant; push counts to it.
     def longest_leaf(s: bytes) -> bytes:
@@ -149,14 +153,10 @@ def blend(freqs: Counter) -> Counter:
     for s in syms:
         if children_of[s]:
             tgt = longest_leaf(s)
-            result[tgt] += blended[s]
+            result[tgt] += freqs[s]
         else:
-            result[s] += blended[s]
+            result[s] += freqs[s]
     return result
-
-
-def _alm_pick(freqs: Counter, w: float) -> List[bytes]:
-    return [s for s, f in freqs.items() if len(s) * f >= w]
 
 
 def select_alm(
@@ -172,22 +172,17 @@ def select_alm(
         freqs = count_suffixes(samples) if improved else count_substrings(samples)
     freqs = blend(freqs)
     target = (max_entries - 256) // 2
-    # Binary search W (len*freq threshold) for ~target symbols.
+    # Threshold W (len*freq) for ~target symbols: the target-th largest
+    # product, read straight from the products sorted descending.
     products = sorted((len(s) * f for s, f in freqs.items()), reverse=True)
     if not products:
-        return list(_SEEDS)
+        return _seeded_boundaries([])
     idx = min(target, len(products)) - 1
     w = products[idx] if idx >= 0 else products[-1]
-    chosen = _alm_pick(freqs, w)
+    chosen = [s for s, f in freqs.items() if len(s) * f >= w]
     # Ties at W can overshoot; trim lowest products first (deterministic
     # tie-break on the symbol itself).
     if len(chosen) > target:
         chosen.sort(key=lambda s: (-(len(s) * freqs[s]), s))
         chosen = chosen[:target]
-    boundaries = set(_SEEDS)
-    for s in chosen:
-        boundaries.add(s)
-        inc = increment(s)
-        if inc is not None:
-            boundaries.add(inc)
-    return sorted(boundaries)
+    return _seeded_boundaries(chosen)

@@ -33,6 +33,17 @@ LEAF_BYTES = 8
 TERM = 256
 
 
+def node_bytes(fanout: int) -> int:
+    """Smallest adaptive node (Node4/16/48/256, with header) for ``fanout``."""
+    if fanout <= 4:
+        return HEADER_BYTES + 4 * 1 + 4 * 8
+    if fanout <= 16:
+        return HEADER_BYTES + 16 * 1 + 16 * 8
+    if fanout <= 48:
+        return HEADER_BYTES + 256 + 48 * 8
+    return HEADER_BYTES + 256 * 8
+
+
 class _ArtNode:
     __slots__ = ("prefix", "children", "labels")
 
@@ -204,16 +215,6 @@ class ART:
         return out
 
     # -- accounting ------------------------------------------------------
-    @staticmethod
-    def _node_bytes(fanout: int) -> int:
-        if fanout <= 4:
-            return HEADER_BYTES + 4 * 1 + 4 * 8
-        if fanout <= 16:
-            return HEADER_BYTES + 16 * 1 + 16 * 8
-        if fanout <= 48:
-            return HEADER_BYTES + 256 + 48 * 8
-        return HEADER_BYTES + 256 * 8
-
     def memory_bytes(self) -> int:
         total = 0
         stack = [self.root] if self.root is not None else []
@@ -222,7 +223,7 @@ class ART:
             if isinstance(n, _ArtLeaf):
                 total += LEAF_BYTES
                 continue
-            total += self._node_bytes(len(n.children))
+            total += node_bytes(len(n.children))
             # pessimistic prefix bytes live in the 16B header (<=8);
             # longer prefixes are skipped, not stored (OCPS).
             stack.extend(n.children.values())

@@ -1,5 +1,7 @@
 """Tests for the string axis model (core/intervals.py)."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.intervals import (
     AXIS_START,
@@ -9,6 +11,7 @@ from repro.core.intervals import (
     check_symbols,
     with_codes,
 )
+from repro.core.strutil import code_key, is_prefix_free
 
 
 def _simple_boundaries():
@@ -80,3 +83,32 @@ class TestCodeChecks:
         ]  # codes "0" and "01": monotone but "0" is a prefix of "01"
         with pytest.raises(AssertionError):
             check_order_preserving(ivs)
+
+
+#: (value, nbits) codes of at most 6 bits
+_CODES = st.integers(1, 6).flatmap(lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n)))
+
+
+@st.composite
+def _code_lists(draw):
+    """Short codes so prefixes and ties are common; sorted half the time
+    so that lists which increase by ``code_key`` are drawn too."""
+    codes = draw(st.lists(_CODES, min_size=2, max_size=12))
+    return sorted(codes, key=code_key) if draw(st.booleans()) else codes
+
+
+class TestOnePassCheck:
+    @given(_code_lists())
+    @settings(max_examples=400)
+    def test_matches_sorting_reference(self, codes):
+        """The adjacent-pair check accepts exactly the code lists that are
+        strictly increasing by ``code_key`` and ``is_prefix_free``."""
+        ivs = [Interval(lo=b"", hi=None, symbol=b"", code=v, nbits=n) for v, n in codes]
+        keys = [code_key(c) for c in codes]
+        expected = all(a < b for a, b in zip(keys, keys[1:])) and is_prefix_free(codes)
+        try:
+            check_order_preserving(ivs)
+            accepted = True
+        except AssertionError:
+            accepted = False
+        assert accepted == expected

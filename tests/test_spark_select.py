@@ -52,7 +52,7 @@ class TestSampling:
         from repro.core.hope import build_hope
 
         s = sample_keys(email_df, "key", fraction=0.05, seed=2)
-        hope = build_hope("3grams", s, max_dict_entries=2048, validate=True)
+        hope = build_hope("3grams", s, max_dict_entries=2048)
         assert hope.compression_rate(email_bytes) > 1.2
 
 
