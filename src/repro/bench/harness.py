@@ -23,7 +23,15 @@ from ..trees.hot import HOT
 from ..trees.surf import SuRF
 from ..workloads.ycsb import surf_range_queries, workload_c, workload_e
 
-TREES = ("surf", "art", "hot", "btree", "prefixbtree")
+#: tree name -> constructor of an empty tree, given SuRF's suffix bits
+_TREE_MAKERS = {
+    "surf": lambda suffix_bits: SuRF(suffix_bits=suffix_bits),
+    "art": lambda _: ART(),
+    "hot": lambda _: HOT(),
+    "btree": lambda _: BPlusTree(),
+    "prefixbtree": lambda _: PrefixBPlusTree(),
+}
+TREES = tuple(_TREE_MAKERS)
 CONFIGS: Dict[str, Optional[Dict[str, Any]]] = {
     # the 7 configurations of §7: uncompressed + six HOPE settings
     "uncompressed": None,
@@ -37,17 +45,9 @@ CONFIGS: Dict[str, Optional[Dict[str, Any]]] = {
 
 
 def make_tree(name: str, suffix_bits: int = 8):
-    if name == "surf":
-        return SuRF(suffix_bits=suffix_bits)
-    if name == "art":
-        return ART()
-    if name == "hot":
-        return HOT()
-    if name == "btree":
-        return BPlusTree()
-    if name == "prefixbtree":
-        return PrefixBPlusTree()
-    raise ValueError(f"unknown tree {name!r}; expected one of {TREES}")
+    if name not in _TREE_MAKERS:
+        raise ValueError(f"unknown tree {name!r}; expected one of {TREES}")
+    return _TREE_MAKERS[name](suffix_bits)
 
 
 def _encode_keys(hope: HopeEncoder, keys: Sequence[bytes]):

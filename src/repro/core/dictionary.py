@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 
 from ..trees.art import node_bytes as art_node_bytes
 from .intervals import Interval
-from .strutil import lcp
+from .strutil import lcp, trie_node_count
 
 Lookup = Tuple[int, int, int]  # (code, nbits, symbol_len)
 
@@ -158,12 +158,7 @@ def trie_memory_bytes(boundaries: Sequence[bytes], model: str) -> int:
         raise ValueError(f"model must be one of {_TRIE_MODELS}")
     values = len(boundaries) * _VALUE_BYTES
     if model == "bitmap":
-        prev = b""
-        nodes = 1
-        for b in boundaries:
-            nodes += len(b) - len(lcp(prev, b))
-            prev = b
-        return nodes * _BITMAP_NODE_BYTES + values
+        return trie_node_count(boundaries) * _BITMAP_NODE_BYTES + values
     # [fanout, ends here] of each node on the previous boundary's path,
     # root first; a boundary ending at a node counts as one child
     path = [[0, False]]

@@ -8,6 +8,8 @@ axis arithmetic every other module needs:
   symbol (smallest string greater than every extension of the symbol);
 * ``lcp`` / ``interval_symbol`` — the max-length common prefix of an
   interval ``[lo, hi)``, which is the dictionary symbol of that interval;
+* ``trie_node_count`` — the size of the trie over sorted strings, for the
+  analytic memory models of trie dictionaries and SuRF;
 * bit-code utilities — codes are ``(value, nbits)`` pairs; comparison is
   bitstring-lexicographic; concatenated keys materialise as
   zero-padded bytes plus an explicit bit count.
@@ -21,7 +23,7 @@ property-tested in ``tests/test_strutil.py``.
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 Code = Tuple[int, int]  # (value, nbits) — value < 2**nbits
 
@@ -45,6 +47,22 @@ def lcp(a: bytes, b: bytes) -> bytes:
         if a[i] != b[i]:
             return a[:i]
     return a[:n]
+
+
+def trie_node_count(sorted_strings: Sequence[bytes]) -> int:
+    """Nodes of the trie over ``sorted_strings``, the root included.
+
+    The nodes are the distinct prefixes of the strings (the empty prefix
+    is the root). Sorted strings visit them depth-first: each string adds
+    a node for every prefix longer than its common prefix with the
+    previous string, so duplicates add none.
+    """
+    nodes = 1
+    prev = b""
+    for s in sorted_strings:
+        nodes += len(s) - len(lcp(prev, s))
+        prev = s
+    return nodes
 
 
 def pred_inf(hi: bytes) -> Tuple[bytes, bool]:

@@ -4,11 +4,13 @@ A static, batch-built trie filter. Each key is truncated to its
 shortest unique prefix; SuRF-Real additionally stores the first
 ``suffix_bits`` bits of the remaining key to cut false positives.
 
-The logical structure (truncated byte-trie) is explicit; the *memory
-model* is SuRF's LOUDS-Sparse encoding: 10 bits per trie edge (8-bit
-label + has-child + louds bit) plus ``suffix_bits`` per key — the
-"close to the theoretical optimum" accounting of §2. Python pointers
-are irrelevant to the reported numbers.
+The structure is the sorted list of truncated keys with their suffix
+bits; queries are bisects over it. The truncated keys are the
+root-to-leaf paths of SuRF's trie, so the trie itself is never built:
+its *memory model* is SuRF's LOUDS-Sparse encoding, 10 bits per trie
+edge (8-bit label + has-child + louds bit) plus ``suffix_bits`` and a
+prefix-key bit per key — the "close to the theoretical optimum"
+accounting of §2 — with the edges counted from the sorted truncations.
 
 Supported operations, as in the paper's YCSB setup:
 
@@ -22,25 +24,10 @@ Supported operations, as in the paper's YCSB setup:
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from typing import List, Sequence
 
-
-class _SNode:
-    __slots__ = ("children", "leaf_suffix", "is_prefix_key")
-
-    def __init__(self) -> None:
-        self.children: Dict[int, "_SNode"] = {}
-        self.leaf_suffix: Optional[int] = None  # stored suffix bits (or -1 = none)
-        self.is_prefix_key = False
-
-
-def _lcp_len(a: bytes, b: bytes) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+from ..core.strutil import lcp, trie_node_count
 
 
 class SuRF:
@@ -48,39 +35,25 @@ class SuRF:
 
     def __init__(self, suffix_bits: int = 8):
         self.suffix_bits = suffix_bits
-        self.root = _SNode()
         self.n_keys = 0
         self._trunc: List[bytes] = []  # truncated keys, sorted
         self._sufs: List[int] = []
-        self._heights: List[int] = []
 
     # -- build -----------------------------------------------------------
     def build(self, keys: Sequence[bytes], values=None) -> None:
         """Batch-build from sorted unique keys (SuRF is build-once)."""
         keys = list(keys)
+        # every query bisects the truncations, so they must be sorted
+        if any(a > b for a, b in zip(keys, keys[1:])):
+            raise ValueError("SuRF.build needs keys in sorted order")
         self.n_keys = len(keys)
+        # shared[i]: common-prefix length of keys i-1 and i (0 at both ends)
+        shared = [0] + [len(lcp(a, b)) for a, b in zip(keys, keys[1:])] + [0]
+        self._trunc, self._sufs = [], []
         for i, k in enumerate(keys):
-            l = 0
-            if i > 0:
-                l = max(l, _lcp_len(keys[i - 1], k))
-            if i + 1 < len(keys):
-                l = max(l, _lcp_len(k, keys[i + 1]))
-            tlen = min(l + 1, len(k))
-            trunc = k[:tlen]
-            suffix = self._suffix_of(k, tlen)
-            node = self.root
-            for b in trunc:
-                nxt = node.children.get(b)
-                if nxt is None:
-                    nxt = _SNode()
-                    node.children[b] = nxt
-                node = nxt
-            if node.children:
-                node.is_prefix_key = True  # key ends at an internal node
-            node.leaf_suffix = suffix
-            self._trunc.append(trunc)
-            self._sufs.append(suffix)
-            self._heights.append(tlen)
+            tlen = min(max(shared[i], shared[i + 1]) + 1, len(k))
+            self._trunc.append(k[:tlen])
+            self._sufs.append(self._suffix_of(k, tlen))
 
     def _suffix_of(self, key: bytes, tlen: int) -> int:
         """First ``suffix_bits`` bits of the key remainder (SuRF-Real)."""
@@ -100,63 +73,50 @@ class SuRF:
 
     # -- queries ---------------------------------------------------------
     def may_contain(self, key: bytes) -> bool:
-        node = self.root
-        depth = 0
-        while True:
-            if node.leaf_suffix is not None:
-                if node.leaf_suffix == self._suffix_of(key, depth):
+        """True if a stored truncation is a prefix of ``key`` with matching suffix.
+
+        These truncations are the trie nodes on ``key``'s path that end a
+        stored key. They sort at or below ``key``; visit them from the
+        longest down, skipping every entry that cannot be one.
+        """
+        trunc = self._trunc
+        i = bisect_right(trunc, key)
+        while i:
+            t = trunc[i - 1]
+            if key.startswith(t):
+                if self._sufs[i - 1] == self._suffix_of(key, len(t)):
                     return True  # stored key may be this query (or a FP)
-                if not node.children:
-                    return False  # pure leaf, nothing deeper to try
-            if depth >= len(key):
-                return False
-            child = node.children.get(key[depth])
-            if child is None:
-                return False
-            node = child
-            depth += 1
+                i = bisect_left(trunc, t)
+            else:
+                # t < key and diverges from it: every shorter prefix of
+                # key that is stored is a prefix of lcp(t, key)
+                i = bisect_right(trunc, lcp(t, key))
+        return False
 
     def may_contain_range(self, lo: bytes, hi: bytes) -> bool:
         """True if some stored key may lie in ``[lo, hi]`` (approximate).
 
-        Implements moveToKeyGreaterThan(lo) over the truncated keys +
-        suffix bits (the sorted array is our LOUDS rank/select
-        surrogate), then compares the found entry against ``hi`` at
-        stored precision: comparisons that are ties at the stored
-        granularity conservatively return True (filter semantics).
+        Implements moveToKeyGreaterThan(lo) over the truncated keys: the
+        first entry ``>= lo``, or the entry just before it when that is a
+        prefix of ``lo`` (its stored key extends it and may be ``>= lo``).
+        The found entry is compared against ``hi`` at stored precision:
+        comparisons that are ties at the stored granularity conservatively
+        return True (filter semantics).
         """
-        if not self._trunc:
-            return False
-        # smallest stored entry whose (trunc, suffix) can be >= lo
-        i = bisect_left(self._trunc, lo)
-        # the entry before could still reach >= lo: it is a prefix of lo
-        # (truncation) — check it conservatively
-        if i > 0 and lo.startswith(self._trunc[i - 1]):
+        trunc = self._trunc
+        i = bisect_left(trunc, lo)
+        if i > 0 and lo.startswith(trunc[i - 1]):
             i -= 1
-        while i < len(self._trunc):
-            t = self._trunc[i]
-            if t > hi:
-                return False
-            if lo.startswith(t) or t >= lo:
-                # stored key extends t; can it be <= hi?
-                if t <= hi:
-                    return True
-            i += 1
-        return False
+        return i < len(trunc) and trunc[i] <= hi
 
     # -- metrics ---------------------------------------------------------
     def memory_bytes(self) -> int:
-        edges = 0
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            edges += len(n.children)
-            stack.extend(n.children.values())
+        edges = trie_node_count(self._trunc) - 1  # every node but the root
         bits = 10 * edges + self.suffix_bits * self.n_keys + self.n_keys  # +prefix-key bits
         return (bits + 7) // 8
 
     def avg_leaf_depth(self) -> float:
-        return sum(self._heights) / max(1, len(self._heights))
+        return sum(map(len, self._trunc)) / max(1, len(self._trunc))
 
     def false_positive_rate(self, negatives: Sequence[bytes]) -> float:
         if not negatives:
