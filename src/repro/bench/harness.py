@@ -8,8 +8,9 @@ overhead** — that inclusion is the paper's central trade-off. Memory is
 the tree's analytic footprint plus the HOPE dictionary (the paper
 reports "HOPE size included").
 
-Encoded tree keys are the zero-padded code bytes; the harness asserts
-they are pairwise distinct (see DESIGN.md §3 on padding ties).
+Encoded tree keys are the zero-padded code bytes. Source keys whose
+padded encoding repeats an earlier one are dropped and counted in
+``n_dropped_padding_ties`` (see DESIGN.md §3 on padding ties).
 """
 from __future__ import annotations
 
@@ -119,6 +120,7 @@ def run_tree_bench(
     tree.build(sorted_keys, list(range(len(sorted_keys))))
     t_load = time.perf_counter() - t0
 
+    tree_memory = tree.memory_bytes()  # a full tree walk on ART, HOT and the B+trees
     res: Dict[str, Any] = {
         "tree": tree_name,
         "config": config,
@@ -126,8 +128,8 @@ def run_tree_bench(
         "n_dropped_padding_ties": n_dropped,
         "build_hope_s": t_build,
         "load_s": t_load,
-        "tree_memory_bytes": tree.memory_bytes(),
-        "memory_bytes": tree.memory_bytes() + (hope.dict_memory_bytes() if hope else 0),
+        "tree_memory_bytes": tree_memory,
+        "memory_bytes": tree_memory + (hope.dict_memory_bytes() if hope else 0),
         "height": tree.avg_leaf_depth() if hasattr(tree, "avg_leaf_depth") else None,
         "cpr": (sum(map(len, load_keys)) / max(1, sum(map(len, tree_load)))) if hope else 1.0,
     }

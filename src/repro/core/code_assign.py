@@ -10,7 +10,6 @@ maximises the paper's CPR for a fixed interval division.
 """
 from __future__ import annotations
 
-import math
 from typing import List
 
 from .strutil import Code
@@ -20,5 +19,5 @@ def assign_fixed(n: int) -> List[Code]:
     """Monotone fixed-length codes 0..n-1, each ceil(log2 n) bits."""
     if n <= 0:
         return []
-    nbits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    nbits = max(1, (n - 1).bit_length())
     return [(i, nbits) for i in range(n)]

@@ -85,7 +85,7 @@ def canonical_alphabetic_codes(depths: Sequence[int]) -> List[Code]:
         return []
     if n == 1:
         # A one-entry dictionary still needs a non-empty code.
-        return [(0, max(1, depths[0]))] if depths[0] == 0 else [(0, depths[0])]
+        return [(0, max(1, depths[0]))]
     codes: List[Code] = []
     val = 0
     prev = depths[0]
@@ -113,30 +113,3 @@ def hu_tucker_codes(weights: Sequence[float]) -> List[Code]:
     floor = max(max(weights), 1.0) * 1e-9
     w = [max(float(x), floor) for x in weights]
     return canonical_alphabetic_codes(garsia_wachs_depths(w))
-
-
-def optimal_alphabetic_cost(weights: Sequence[float]) -> float:
-    """O(n^3) DP for the optimal alphabetic tree cost — test oracle only.
-
-    Knuth-style interval DP: cost(i,j) = min_k cost(i,k)+cost(k+1,j) +
-    sum(w[i..j]). Returns sum(w_i * depth_i) of the optimal tree.
-    """
-    n = len(weights)
-    if n <= 1:
-        return 0.0
-    w = [float(x) for x in weights]
-    pref = [0.0]
-    for x in w:
-        pref.append(pref[-1] + x)
-    INF = float("inf")
-    cost = [[0.0] * n for _ in range(n)]
-    for span in range(1, n):
-        for i in range(n - span):
-            j = i + span
-            best = INF
-            for k in range(i, j):
-                c = cost[i][k] + cost[k + 1][j]
-                if c < best:
-                    best = c
-            cost[i][j] = best + (pref[j + 1] - pref[i])
-    return cost[0][n - 1]

@@ -89,13 +89,3 @@ def check_order_preserving(intervals: Sequence[Interval]) -> None:
         if x == y:
             raise AssertionError(
                 f"codes are not prefix-free: {(a.code, a.nbits)} prefixes {(b.code, b.nbits)}")
-
-
-def check_symbols(intervals: Sequence[Interval]) -> None:
-    """Each symbol must be a non-empty prefix of every string in its interval."""
-    for iv in intervals:
-        assert iv.symbol, f"empty symbol for {iv.lo!r}"
-        assert iv.lo.startswith(iv.symbol), f"symbol {iv.symbol!r} not prefix of lo {iv.lo!r}"
-        if iv.hi is not None:
-            # the symbol extended by 0xFF... must still be below hi
-            assert iv.symbol < iv.hi, f"symbol {iv.symbol!r} escapes hi {iv.hi!r}"

@@ -4,10 +4,12 @@ The hash-table frequency pass of §4.2 expressed in the DataFrame API —
 substring explosion + groupBy/count runs on executors through Catalyst,
 so the Build phase scales with the sampled corpus:
 
-* ``gram_freqs``      — all overlapping k-byte substrings (3-Grams / 4-Grams);
-* ``suffix_freqs``    — key suffixes (ALM-Improved);
-* ``substring_freqs`` — substrings of all lengths, capped (original ALM);
-* ``sample_keys``     — the 1 % Bernoulli key sample HOPE builds from.
+* ``gram_freqs``   — all overlapping k-byte substrings (3-Grams / 4-Grams);
+* ``suffix_freqs`` — key suffixes (ALM-Improved);
+* ``sample_keys``  — the 1 % Bernoulli key sample HOPE builds from.
+
+Original ALM has no Spark path: its all-substrings statistics are
+counted locally by ``symbol_select.count_substrings``.
 
 Strings travel through Spark as latin-1 so any byte value round-trips.
 The resulting ``Counter`` feeds ``build_hope(..., freqs=...)`` — tests
@@ -49,16 +51,6 @@ def suffix_freqs(df: DataFrame, key_col: str, max_len: int = 64) -> Counter:
     expr = (
         f"transform(sequence(1, length({key_col})), "
         f"i -> substring({key_col}, i, {max_len}))"
-    )
-    return _freqs_from_expr(df, expr)
-
-
-def substring_freqs(df: DataFrame, key_col: str, max_len: int = 16) -> Counter:
-    """Frequencies of all substrings up to ``max_len`` (original ALM)."""
-    expr = (
-        f"flatten(transform(sequence(1, length({key_col})), "
-        f"i -> transform(sequence(1, least({max_len}, length({key_col}) - i + 1)), "
-        f"l -> substring({key_col}, i, l))))"
     )
     return _freqs_from_expr(df, expr)
 

@@ -10,9 +10,9 @@ axis arithmetic every other module needs:
   interval ``[lo, hi)``, which is the dictionary symbol of that interval;
 * ``trie_node_count`` — the size of the trie over sorted strings, for the
   analytic memory models of trie dictionaries and SuRF;
-* bit-code utilities — codes are ``(value, nbits)`` pairs; comparison is
-  bitstring-lexicographic; concatenated keys materialise as
-  zero-padded bytes plus an explicit bit count.
+* ``Code`` / ``bits_to_bytes`` — codes are ``(value, nbits)`` pairs;
+  concatenated keys materialise as zero-padded bytes plus an explicit
+  bit count.
 
 Why ``(padded_bytes, nbits)`` ordering equals bitstring ordering: two
 bitstrings that first differ at bit *k* differ in the byte containing
@@ -102,29 +102,6 @@ def interval_symbol(lo: bytes, hi: Optional[bytes]) -> bytes:
             break
         out.append(c)
     return bytes(out)
-
-
-def code_key(code: Code) -> Tuple[int, int]:
-    """Sort key giving bitstring-lexicographic order over codes.
-
-    Pad every code with zeros to a common width, compare the padded
-    value, tie-break shorter-first (a bitstring sorts before its
-    extensions).
-    """
-    v, n = code
-    width = 64
-    if n > width:
-        width = n
-    return (v << (width - n), n)
-
-
-def is_prefix_free(codes) -> bool:
-    """True iff no code is a bit-prefix of another (distinct entries)."""
-    sc = sorted(codes, key=code_key)
-    for (v1, n1), (v2, n2) in zip(sc, sc[1:]):
-        if n1 <= n2 and (v2 >> (n2 - n1)) == v1:
-            return False
-    return True
 
 
 def bits_to_bytes(value: int, nbits: int) -> bytes:

@@ -17,7 +17,8 @@ left boundaries of a complete string-axis partition:
   the selected set is prefix-free (Antoshenkov's requirement, §4.2).
 
 Frequency counting may be supplied externally (``freqs=``) — the Spark
-path in ``core.spark_select`` computes the same Counter distributively.
+path in ``core.spark_select`` computes the same Counter distributively
+for 3-Grams, 4-Grams and ALM-Improved; original ALM counts locally.
 """
 from __future__ import annotations
 

@@ -38,6 +38,7 @@ class SuRF:
         self.n_keys = 0
         self._trunc: List[bytes] = []  # truncated keys, sorted
         self._sufs: List[int] = []
+        self._prefix_key: List[bool] = []  # LOUDS-Sparse's prefix-key bits
 
     # -- build -----------------------------------------------------------
     def build(self, keys: Sequence[bytes], values=None) -> None:
@@ -49,11 +50,14 @@ class SuRF:
         self.n_keys = len(keys)
         # shared[i]: common-prefix length of keys i-1 and i (0 at both ends)
         shared = [0] + [len(lcp(a, b)) for a, b in zip(keys, keys[1:])] + [0]
-        self._trunc, self._sufs = [], []
+        self._trunc, self._sufs, self._prefix_key = [], [], []
         for i, k in enumerate(keys):
             tlen = min(max(shared[i], shared[i + 1]) + 1, len(k))
             self._trunc.append(k[:tlen])
             self._sufs.append(self._suffix_of(k, tlen))
+            # k is a proper prefix of the next key: its truncation is the
+            # whole key, and the next truncation strictly extends it
+            self._prefix_key.append(i + 1 < len(keys) and shared[i + 1] == len(k) < len(keys[i + 1]))
 
     def _suffix_of(self, key: bytes, tlen: int) -> int:
         """First ``suffix_bits`` bits of the key remainder (SuRF-Real)."""
@@ -98,14 +102,15 @@ class SuRF:
 
         Implements moveToKeyGreaterThan(lo) over the truncated keys: the
         first entry ``>= lo``, or the entry just before it when that is a
-        prefix of ``lo`` (its stored key extends it and may be ``>= lo``).
+        prefix of ``lo`` (its stored key may extend it and be ``>= lo``)
+        and its prefix-key bit is clear (set, it is a whole key ``< lo``).
         The found entry is compared against ``hi`` at stored precision:
         comparisons that are ties at the stored granularity conservatively
         return True (filter semantics).
         """
         trunc = self._trunc
         i = bisect_left(trunc, lo)
-        if i > 0 and lo.startswith(trunc[i - 1]):
+        if i > 0 and lo.startswith(trunc[i - 1]) and not self._prefix_key[i - 1]:
             i -= 1
         return i < len(trunc) and trunc[i] <= hi
 

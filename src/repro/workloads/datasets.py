@@ -13,15 +13,13 @@ what drives every measured quantity (CPR per scheme, trie heights,
 prefix-skipping behaviour). DESIGN.md §3 documents the substitution.
 
 All generators are deterministic in ``seed``, return **unique** keys,
-and scale by count: tests use ~2-10 k keys, benchmarks ~50-200 k.
+and scale by count: tests use ~1-10 k keys, the jobs and perfbench ~10-200 k.
 """
 from __future__ import annotations
 
 from typing import List
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 DATASETS = ("email", "wiki", "url")
 
@@ -148,14 +146,6 @@ def dataset_keys(name: str, n: int, seed: int = 0) -> List[bytes]:
     if name == "url":
         return url_keys(n, seed + 2)
     raise ValueError(f"unknown dataset {name!r}; expected one of {DATASETS}")
-
-
-def dataset_df(spark: SparkSession, name: str, n: int, seed: int = 0) -> DataFrame:
-    """The dataset as a one-column Spark DataFrame (``key`` string)."""
-    keys = dataset_keys(name, n, seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"key": [k.decode("latin-1") for k in keys]})
-    )
 
 
 def email_split_ab(n: int, seed: int = 0):

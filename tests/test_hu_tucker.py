@@ -1,5 +1,6 @@
 """Tests for the Hu-Tucker/Garsia-Wachs Code Assigner (core/hu_tucker.py)."""
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,39 @@ from repro.core.hu_tucker import (
     canonical_alphabetic_codes,
     garsia_wachs_depths,
     hu_tucker_codes,
-    optimal_alphabetic_cost,
 )
-from repro.core.strutil import code_key, is_prefix_free
+from tests.reference import code_key, is_prefix_free
 
 
 def _cost(weights, depths):
     return sum(w * d for w, d in zip(weights, depths))
+
+
+def optimal_alphabetic_cost(weights: Sequence[float]) -> float:
+    """O(n^3) DP for the optimal alphabetic tree cost — test oracle only.
+
+    Knuth-style interval DP: cost(i,j) = min_k cost(i,k)+cost(k+1,j) +
+    sum(w[i..j]). Returns sum(w_i * depth_i) of the optimal tree.
+    """
+    n = len(weights)
+    if n <= 1:
+        return 0.0
+    w = [float(x) for x in weights]
+    pref = [0.0]
+    for x in w:
+        pref.append(pref[-1] + x)
+    INF = float("inf")
+    cost = [[0.0] * n for _ in range(n)]
+    for span in range(1, n):
+        for i in range(n - span):
+            j = i + span
+            best = INF
+            for k in range(i, j):
+                c = cost[i][k] + cost[k + 1][j]
+                if c < best:
+                    best = c
+            cost[i][j] = best + (pref[j + 1] - pref[i])
+    return cost[0][n - 1]
 
 
 class TestGarsiaWachsOptimality:

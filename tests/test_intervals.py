@@ -1,4 +1,6 @@
 """Tests for the string axis model (core/intervals.py)."""
+from typing import Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,14 +10,23 @@ from repro.core.intervals import (
     Interval,
     build_intervals,
     check_order_preserving,
-    check_symbols,
     with_codes,
 )
-from repro.core.strutil import code_key, is_prefix_free
+from tests.reference import code_key, is_prefix_free
 
 
 def _simple_boundaries():
     return [bytes([b]) for b in range(256)]
+
+
+def check_symbols(intervals: Sequence[Interval]) -> None:
+    """Each symbol must be a non-empty prefix of every string in its interval."""
+    for iv in intervals:
+        assert iv.symbol, f"empty symbol for {iv.lo!r}"
+        assert iv.lo.startswith(iv.symbol), f"symbol {iv.symbol!r} not prefix of lo {iv.lo!r}"
+        if iv.hi is not None:
+            # the symbol extended by 0xFF... must still be below hi
+            assert iv.symbol < iv.hi, f"symbol {iv.symbol!r} escapes hi {iv.hi!r}"
 
 
 class TestBuildIntervals:

@@ -3,21 +3,19 @@
 linchpin: order-preserving compression must leave every range query's
 *result set* unchanged, verified against DuckDB on the source domain.
 """
-import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.core.hope import build_hope
 from repro.core.spark_encode import check_order_preserved, encode_df, encoded_range_filter
 from repro.core.spark_select import sample_keys
 from repro.oracle import assert_equivalent
-from repro.workloads.datasets import dataset_df
+from repro.workloads.datasets import dataset_keys
 
 
 @pytest.fixture(scope="module")
-def email_df(spark):
-    return dataset_df(spark, "email", 1000, seed=31).repartition(5).cache()
+def email_df(key_df):
+    return key_df(dataset_keys("email", 1000, seed=31)).repartition(5).cache()
 
 
 @pytest.fixture(scope="module")
@@ -102,11 +100,11 @@ class TestOracleEquivalence:
 
 
 class TestTpchIntegration:
-    """HOPE applied to a TPC-H-lite string key column, joined back and
+    """HOPE applied to a TPC-H-style string key column, joined back and
     aggregated — the full Catalyst path with the oracle as referee."""
 
-    def test_orderpriority_encoded_groupby(self, spark):
-        o = synth_data.orders(spark, sf=0.002, seed=1).cache()
+    def test_orderpriority_encoded_groupby(self, orders_lineitem):
+        o, _ = orders_lineitem
         sample = [r["o_orderpriority"].encode() for r in o.select("o_orderpriority").limit(200).collect()]
         hope = build_hope("single", sample)
         enc = encode_df(o, "o_orderpriority", hope)
@@ -122,9 +120,8 @@ class TestTpchIntegration:
             o=o,
         )
 
-    def test_range_filter_then_join(self, spark):
-        o = synth_data.orders(spark, sf=0.002, seed=1).cache()
-        li = synth_data.lineitem(spark, sf=0.002, seed=0).cache()
+    def test_range_filter_then_join(self, orders_lineitem):
+        o, li = orders_lineitem
         sample = [r["o_orderpriority"].encode() for r in o.limit(100).collect()]
         hope = build_hope("double", sample)
         enc_o = encode_df(o, "o_orderpriority", hope)

@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from repro.core.strutil import (
     bits_to_bytes,
-    code_key,
     increment,
     interval_symbol,
-    is_prefix_free,
     lcp,
     pred_inf,
 )
+from tests.reference import code_key, is_prefix_free
 
 
 class TestIncrement:

@@ -72,6 +72,14 @@ class TestFalsePositives:
         assert not s.may_contain(b"0123456789")  # digits never loaded
         assert not s.may_contain_range(b"0", b"9")
 
+    def test_range_past_whole_prefix_key(self):
+        # "a" is a whole key that "azzz" extends, so no key lies in [ab, ac]
+        s = SuRF(suffix_bits=8)
+        s.build([b"a", b"azzz"])
+        assert not s.may_contain_range(b"ab", b"ac")
+        assert s.may_contain_range(b"a", b"a")
+        assert s.may_contain_range(b"ab", b"b")
+
     def test_empty_range_between_keys(self, loaded):
         s, keys = loaded
         # range strictly between two adjacent truncated keys can still
@@ -181,14 +189,18 @@ class TestReferenceModel:
                          for t, suf in entries)
             assert s.may_contain(q) == expect, q
         # moveToKeyGreaterThan(lo): the entries >= lo, and the largest
-        # entry below lo if it is a prefix of lo (its key may be >= lo).
-        # A shorter stored prefix of lo is extended by that entry, so it
-        # is a whole key and < lo.
+        # entry below lo if it is a prefix of lo (its key may be >= lo),
+        # unless it is a whole key that another entry extends (SuRF's
+        # prefix-key bit says so, and that key is < lo). A shorter stored
+        # prefix of lo is extended by that entry, so it is a whole key
+        # and < lo.
         for lo in probes[:12]:
             below = [t for t, _ in entries if t < lo]
             reach = [t for t, _ in entries if t >= lo]
             if below and lo.startswith(max(below)):
-                reach.append(max(below))
+                t = max(below)
+                if not (t in keys and any(u != t and u.startswith(t) for u, _ in entries)):
+                    reach.append(t)
             for hi in probes[:12]:
                 got = s.may_contain_range(lo, hi)
                 assert got == any(t <= hi for t in reach), (lo, hi)

@@ -1,37 +1,18 @@
-"""Tests for the provided TPC-H-lite generators (+ oracle plumbing)."""
+"""DuckDB-oracle plumbing (repro/oracle.py) on a small orders/lineitem pair."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=0.002, seed=0).cache()
+def li(orders_lineitem):
+    return orders_lineitem[1]
 
 
 @pytest.fixture(scope="module")
-def o(spark):
-    return synth_data.orders(spark, sf=0.002, seed=1).cache()
-
-
-class TestGenerators:
-    def test_lineitem_rows(self, li):
-        assert li.count() == int(6_000_000 * 0.002)
-
-    def test_orders_keys_dense(self, o):
-        n = o.count()
-        assert o.select(F.max("o_orderkey")).collect()[0][0] == n
-
-    def test_deterministic(self, spark):
-        a = synth_data.customer(spark, sf=0.002, seed=2).toPandas()
-        b = synth_data.customer(spark, sf=0.002, seed=2).toPandas()
-        assert a.equals(b)
-
-    def test_part_and_customer_sizes(self, spark):
-        assert synth_data.part(spark, sf=0.002).count() == 400
-        assert synth_data.customer(spark, sf=0.002).count() == 300
+def o(orders_lineitem):
+    return orders_lineitem[0]
 
 
 class TestOracle:
@@ -68,10 +49,3 @@ class TestOracle:
                 "SELECT l_returnflag, count(*) AS n FROM li GROUP BY l_returnflag",
                 li=li,
             )
-
-    def test_zipf_uniform_keys(self, spark):
-        z = synth_data.zipf_keys(spark, n=5000, n_keys=100, seed=1)
-        u = synth_data.uniform_keys(spark, n=5000, n_keys=100, seed=2)
-        zc = z.groupBy("k").count().orderBy(F.desc("count")).limit(1).collect()[0]["count"]
-        uc = u.groupBy("k").count().orderBy(F.desc("count")).limit(1).collect()[0]["count"]
-        assert zc > uc * 2  # zipf much more skewed than uniform
